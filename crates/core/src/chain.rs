@@ -18,7 +18,7 @@
 //!   blocks and the round repeats. One latch + one trace event per page
 //!   visit instead of per version.
 
-use sias_common::{RelId, SiasResult, Tid, Vid, Xid};
+use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_storage::BufferPool;
 use sias_txn::{Clog, Snapshot, TxnStatus};
 
@@ -264,22 +264,28 @@ pub fn collect_reachable(
     Ok(out)
 }
 
-/// Collects the whole chain from the entrypoint, newest first.
+/// Collects the surviving chain from the entrypoint, newest first.
 ///
-/// **Unbounded**: only sound before any vacuum has reclaimed pages of
-/// this relation (tests, freshly-loaded data). Production paths use
-/// [`collect_reachable`] or [`visible_version`].
+/// GC recycles the pages below a chain's anchor without rewriting the
+/// pointers into them, so the walk ends at a predecessor that is no
+/// longer the version its successor recorded: a slot that is gone, or
+/// a reused slot holding another item or creator. Before any vacuum
+/// this is the whole chain. Readers use [`visible_version`]; GC uses
+/// [`collect_reachable`].
 pub fn collect_chain(
     pool: &BufferPool,
     rel: RelId,
     entry: Tid,
 ) -> SiasResult<Vec<(Tid, TupleVersion)>> {
-    let mut out = Vec::new();
-    let mut tid = Some(entry);
-    while let Some(t) = tid {
-        let v = fetch_version(pool, rel, t)?;
-        tid = v.pred;
-        out.push((t, v));
+    let mut out = vec![(entry, fetch_version(pool, rel, entry)?)];
+    while let Some((_, v)) = out.last() {
+        let Some(pred) = v.pred else { break };
+        let (vid, create) = (v.vid, v.pred_create);
+        match fetch_version(pool, rel, pred) {
+            Ok(p) if p.vid == vid && p.create == create => out.push((pred, p)),
+            Ok(_) | Err(SiasError::BadSlot { .. }) => break, // reclaimed by GC
+            Err(e) => return Err(e),
+        }
     }
     Ok(out)
 }

@@ -23,20 +23,23 @@
 //!   erased from the VID map (their ⟨key, VID⟩ index record dropped when
 //!   the tombstone recorded the key).
 //!
-//! GC runs in two modes:
+//! There is one GC: the incremental slice, [`SiasDb::vacuum_slice`]. It
+//! examines a bounded number of candidate pages while foreground
+//! transactions keep running. A slice takes the per-tuple write lock
+//! (non-blocking — contended items are skipped and retried on a later
+//! slice), relocates live versions through the ordinary append path
+//! while readers continue down the *old* chain, publishes each
+//! relocation with a CAS on the lock-free VID-map entry, and defers the
+//! physical recycle of the victim page until the oldest active snapshot
+//! passes the relocation epoch
+//! ([`TransactionManager::horizon_passed`](sias_txn::TransactionManager::horizon_passed)).
 //!
-//! * [`SiasDb::vacuum_relation`] — the paper's deterministic whole-pass
-//!   vacuum, requiring a quiescent system (no active transactions);
-//! * [`SiasDb::vacuum_slice`] — an **incremental, concurrent** slice
-//!   that examines a bounded number of candidate pages while foreground
-//!   transactions keep running. A slice takes the per-tuple write lock
-//!   (non-blocking — contended items are skipped and retried on a later
-//!   slice), relocates live versions through the ordinary append path
-//!   while readers continue down the *old* chain, publishes each
-//!   relocation with a CAS on the lock-free VID-map entry, and defers
-//!   the physical recycle of the victim page until the oldest active
-//!   snapshot passes the relocation epoch
-//!   ([`TransactionManager::horizon_passed`](sias_txn::TransactionManager::horizon_passed)).
+//! The paper's deterministic whole-pass vacuum,
+//! [`SiasDb::vacuum_relation`], is that slice run to completion on a
+//! quiescent system (no active transactions): one-page slices over
+//! every block, then a drain. Quiescence makes every lock and CAS
+//! succeed and every relocation epoch already passed, so each victim is
+//! recycled within the pass.
 
 use sias_obs::SpanName;
 use std::collections::BTreeSet;
@@ -71,8 +74,9 @@ pub struct GcStats {
     pub versions_relocated: u64,
     /// Data items whose chain aged out entirely (VID map slot cleared).
     pub items_cleared: u64,
-    /// Items skipped by a concurrent slice because a writer held the
-    /// tuple lock or the entrypoint moved (retried on a later slice).
+    /// Items skipped because a writer held the tuple lock, the
+    /// entrypoint moved, or the chain was in flight or too long to
+    /// relocate (retried on a later slice).
     pub items_contended: u64,
     /// Victim pages queued for horizon-gated recycling (they count as
     /// `pages_reclaimed` once the deferred recycle actually runs).
@@ -103,6 +107,14 @@ impl GcStats {
     }
 }
 
+/// Longest keep-chain a slice will relocate. Relocation copies the
+/// whole committed suffix of a chain, so under a long-stuck snapshot
+/// horizon a hot item's chain can grow to hundreds of versions —
+/// re-copying that repeatedly amplifies write traffic without
+/// reclaiming anything. Longer chains are skipped (counted contended)
+/// until the horizon advances and their keep shrinks.
+const MAX_RELOCATED_CHAIN: usize = 128;
+
 /// Tuning of one incremental GC slice.
 #[derive(Clone, Copy, Debug)]
 pub struct GcSliceOpts {
@@ -110,18 +122,11 @@ pub struct GcSliceOpts {
     pub max_pages: usize,
     /// Dead-space fraction that makes a page a victim.
     pub threshold: f64,
-    /// Longest keep-chain a slice will relocate. Relocation copies the
-    /// whole committed suffix of a chain, so under a long-stuck snapshot
-    /// horizon a hot item's chain can grow to hundreds of versions —
-    /// re-copying that repeatedly amplifies write traffic without
-    /// reclaiming anything. Longer chains are skipped (counted
-    /// contended) until the horizon advances and their keep shrinks.
-    pub max_chain: usize,
 }
 
 impl Default for GcSliceOpts {
     fn default() -> Self {
-        GcSliceOpts { max_pages: 4, threshold: DEFAULT_VACUUM_THRESHOLD, max_chain: 128 }
+        GcSliceOpts { max_pages: 4, threshold: DEFAULT_VACUUM_THRESHOLD }
     }
 }
 
@@ -169,98 +174,38 @@ impl SiasDb {
 
     /// Vacuums one relation; pages whose dead fraction is at least
     /// `threshold` become victims. Errors unless the system is quiescent.
+    ///
+    /// The pass is the incremental slice run to completion: one-page
+    /// slices from block 0 until every block that existed at the start
+    /// has been considered once, then a drain. With no transaction
+    /// active the horizon is the next xid, so every relocation epoch has
+    /// passed and each slice recycles the victims the one before parked.
     pub fn vacuum_relation_with_threshold(
         &self,
         rel: RelId,
         threshold: f64,
     ) -> SiasResult<GcStats> {
-        let pause_start = std::time::Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcVacuum);
         if self.txm.active_count() != 0 {
             return Err(SiasError::Device(
                 "vacuum requires a quiescent system (no active transactions)".into(),
             ));
         }
-        let r = self.relation_handle(rel)?;
-        let horizon = self.txm.horizon();
+        let opts = GcSliceOpts { max_pages: 1, threshold };
+        let end = self.stack.space.relation_blocks(rel);
         let mut stats = GcStats::default();
-        // Quiescence means every relocation epoch has passed: recycle
-        // pages deferred by earlier concurrent slices right away.
-        self.drain_deferred(&mut stats, &mut |_| false)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
-        for block in 0..nblocks {
-            if r.append.open_block() == Some(block) || r.append.is_free(block) {
-                continue; // never touch the open append page or reclaimed blocks
-            }
-            stats.pages_examined += 1;
-            let versions: Vec<(u16, Vec<u8>)> = self.stack.pool.with_page(rel, block, |p| {
-                p.live_slots()
-                    .map(|s| p.item(s).map(|i| (s, i.to_vec())))
-                    .collect::<SiasResult<Vec<_>>>()
-            })??;
-            if versions.is_empty() {
-                continue;
-            }
-            // Classify: compute the keep-chain of every data item present
-            // on this block (clearing fully-dead items as a side effect).
-            let mut vids = BTreeSet::new();
-            for (_, bytes) in &versions {
-                vids.insert(TupleVersion::decode(bytes)?.vid);
-            }
-            let mut items: Vec<ItemChains> = Vec::new();
-            for vid in vids {
-                if let Some(item) = self.classify_item(&r, rel, vid, horizon, &mut stats, false)? {
-                    items.push(item);
-                }
-            }
-            // A version is *reachable* when a chain walk from the
-            // entrypoint can still pass through it (anything down to the
-            // anchor, aborted interior versions included).
-            let reach_tids: BTreeSet<Tid> =
-                items.iter().flat_map(|i| i.reach.iter().map(|(t, _)| *t)).collect();
-            let live_here = versions
-                .iter()
-                .filter(|(slot, _)| reach_tids.contains(&Tid::new(block, *slot)))
-                .count();
-            let dead_here = versions.len() - live_here;
-            if live_here == 0 {
-                r.append.recycle(block);
-                stats.pages_reclaimed += 1;
-                stats.versions_discarded += dead_here as u64;
-                continue;
-            }
-            if (dead_here as f64) / (versions.len() as f64) < threshold {
-                continue; // not a victim yet
-            }
-            // Victim with reachable versions: re-insert the keep-chains of
-            // the items that still reach into this block, then recycle.
-            let mut ok = true;
-            for item in &items {
-                if item.reach.iter().all(|(t, _)| t.block != block) {
-                    continue; // this item's reachable versions live elsewhere
-                }
-                match self.relocate_chain(&r, item, &mut stats, false, &mut |_| false)? {
-                    Reloc::Published => {}
-                    Reloc::Contended | Reloc::Interrupted => ok = false,
-                }
-            }
-            if ok {
-                r.append.recycle(block);
-                stats.pages_reclaimed += 1;
-                stats.versions_discarded += dead_here as u64;
+        let mut cursor: BlockId = 0;
+        while cursor < end {
+            let from = cursor;
+            stats.merge(self.vacuum_slice(rel, &mut cursor, &opts)?);
+            if cursor <= from {
+                break; // the slice wrapped: the last block was considered
             }
         }
+        stats.merge(self.drain_parked(rel)?);
         #[cfg(debug_assertions)]
         self.debug_validate_index(rel)?;
-        let m = &self.metrics;
-        m.gc_runs.inc();
-        m.gc_pages_examined.add(stats.pages_examined);
-        m.gc_pages_reclaimed.add(stats.pages_reclaimed);
-        m.gc_versions_discarded.add(stats.versions_discarded);
-        m.gc_versions_relocated.add(stats.versions_relocated);
-        m.gc_items_cleared.add(stats.items_cleared);
         span.set_arg(stats.versions_discarded);
-        m.gc_pause.record_duration(pause_start.elapsed());
         Ok(stats)
     }
 
@@ -271,10 +216,10 @@ impl SiasDb {
     /// versions). Items that turn out fully dead (aged tombstone,
     /// aborted-only chain) are erased here and `None` is returned.
     ///
-    /// With `concurrent` set the erasure is guarded: the tuple lock is
-    /// taken non-blocking (skipping the item on contention), in-flight
-    /// chains are never touched, and the VID-map slot is cleared with a
-    /// CAS so a racing entrypoint move loses nothing.
+    /// The erasure is guarded: the tuple lock is taken non-blocking
+    /// (skipping the item on contention), in-flight chains are never
+    /// touched, and the VID-map slot is cleared with a CAS so a racing
+    /// entrypoint move loses nothing.
     fn classify_item(
         &self,
         r: &SiasRelation,
@@ -282,7 +227,6 @@ impl SiasDb {
         vid: Vid,
         horizon: Xid,
         stats: &mut GcStats,
-        concurrent: bool,
     ) -> SiasResult<Option<ItemChains>> {
         let Some(entry) = r.vidmap.get(vid) else {
             return Ok(None); // already cleared: residue is orphaned/dead
@@ -307,19 +251,15 @@ impl SiasDb {
         let erasable = (anchored && keep.len() == 1 && keep[0].1.tombstone && !in_flight)
             || (keep.is_empty() && !in_flight);
         if erasable {
-            if concurrent {
-                if !self.txm.locks.try_lock(rel, vid, GC_SLICE_XID) {
-                    stats.items_contended += 1;
-                    return Ok(None);
-                }
-                let cleared = r.vidmap.compare_and_remove(vid, entry);
-                self.txm.locks.release_all(GC_SLICE_XID);
-                if !cleared {
-                    stats.items_contended += 1;
-                    return Ok(None);
-                }
-            } else {
-                r.vidmap.remove(vid);
+            if !self.txm.locks.try_lock(rel, vid, GC_SLICE_XID) {
+                stats.items_contended += 1;
+                return Ok(None);
+            }
+            let cleared = r.vidmap.compare_and_remove(vid, entry);
+            self.txm.locks.release_all(GC_SLICE_XID);
+            if !cleared {
+                stats.items_contended += 1;
+                return Ok(None);
             }
             self.drop_index_records(r, vid, keep.first().map(|(_, v)| v))?;
             stats.items_cleared += 1;
@@ -364,17 +304,16 @@ impl SiasDb {
     /// Re-inserts a keep-chain (oldest first), rebuilding predecessor
     /// pointers, and swings the VID map to the relocated entrypoint.
     ///
-    /// Concurrent mode takes the tuple lock non-blocking first, so a
-    /// writer mid-`modify_item` is never raced: contended items are
-    /// skipped and retried on a later slice. Readers keep walking the
-    /// old chain throughout — versions are immutable, and the old page
-    /// is only recycled once the relocation epoch passes the horizon.
+    /// The tuple lock is taken non-blocking first, so a writer
+    /// mid-`modify_item` is never raced: contended items are skipped and
+    /// retried on a later slice. Readers keep walking the old chain
+    /// throughout — versions are immutable, and the old page is only
+    /// recycled once the relocation epoch passes the horizon.
     fn relocate_chain(
         &self,
         r: &SiasRelation,
         item: &ItemChains,
         stats: &mut GcStats,
-        concurrent: bool,
         interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
     ) -> SiasResult<Reloc> {
         let ItemChains { vid, entry, keep, .. } = item;
@@ -382,26 +321,19 @@ impl SiasDb {
         if keep.is_empty() {
             return Ok(Reloc::Contended); // in-flight-only chain: retry later
         }
-        if concurrent {
-            if !self.txm.locks.try_lock(r.rel, vid, GC_SLICE_XID) {
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
-            // Re-check under the lock: a writer may have published a new
-            // entrypoint between classification and now.
-            if r.vidmap.get(vid) != Some(entry) {
-                self.txm.locks.release_all(GC_SLICE_XID);
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
+        if !self.txm.locks.try_lock(r.rel, vid, GC_SLICE_XID) {
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
         }
-        let unlock = |db: &SiasDb| {
-            if concurrent {
-                db.txm.locks.release_all(GC_SLICE_XID);
-            }
-        };
+        let unlock = || self.txm.locks.release_all(GC_SLICE_XID);
+        // Re-check under the lock: a writer may have published a new
+        // entrypoint between classification and now.
+        if r.vidmap.get(vid) != Some(entry) {
+            unlock();
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
+        }
         let mut new_pred: Option<(Tid, Xid)> = None;
-        let mut new_entry = None;
         for (_, v) in keep.iter().rev() {
             let rebuilt = TupleVersion {
                 create: v.create,
@@ -414,30 +346,24 @@ impl SiasDb {
             let tid = match r.append.append(&rebuilt.encode()) {
                 Ok(tid) => tid,
                 Err(e) => {
-                    unlock(self);
+                    unlock();
                     return Err(e);
                 }
             };
             stats.versions_relocated += 1;
             new_pred = Some((tid, v.create));
-            new_entry = Some(tid);
         }
         if interrupt(GcCrashPoint::AfterRelocationAppend) {
-            unlock(self);
+            unlock();
             return Ok(Reloc::Interrupted);
         }
-        let new_entry = new_entry.expect("non-empty keep chain");
-        if !r.vidmap.compare_and_set(vid, Some(entry), new_entry) {
-            unlock(self);
-            if concurrent {
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
-            return Err(SiasError::Device(format!(
-                "vidmap entry of {vid} moved during quiescent vacuum"
-            )));
+        let (new_entry, _) = new_pred.expect("non-empty keep chain");
+        let published = r.vidmap.compare_and_set(vid, Some(entry), new_entry);
+        unlock();
+        if !published {
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
         }
-        unlock(self);
         if interrupt(GcCrashPoint::AfterCasPublish) {
             return Ok(Reloc::Interrupted);
         }
@@ -456,7 +382,7 @@ impl SiasDb {
         cursor: &mut BlockId,
         opts: &GcSliceOpts,
     ) -> SiasResult<GcStats> {
-        self.gc_slice_inner(rel, cursor, opts, &mut |_| false)
+        self.vacuum_slice_interruptible(rel, cursor, opts, &mut |_| false)
     }
 
     /// [`SiasDb::vacuum_slice`] with an interrupt hook: the slice is
@@ -470,45 +396,13 @@ impl SiasDb {
         opts: &GcSliceOpts,
         interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
     ) -> SiasResult<GcStats> {
-        self.gc_slice_inner(rel, cursor, opts, interrupt)
-    }
-
-    fn gc_slice_inner(
-        &self,
-        rel: RelId,
-        cursor: &mut BlockId,
-        opts: &GcSliceOpts,
-        interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
-    ) -> SiasResult<GcStats> {
         let pause_start = std::time::Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcSlice);
         let r = self.relation_handle(rel)?;
         let mut stats = GcStats::default();
-        let mut interrupted = !self.drain_deferred(&mut stats, interrupt)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
-        if !interrupted && nblocks > 0 {
+        if self.drain_deferred(&mut stats, interrupt)? {
             let horizon = self.txm.horizon();
-            // Blocks already awaiting their deferred recycle are invisible
-            // to the sweep: their versions are unreachable by construction
-            // and recycling them twice could free a page a later allocation
-            // is already using.
-            let parked: BTreeSet<BlockId> = {
-                let q = self.maint.deferred.lock();
-                q.iter().filter(|p| p.rel == rel).map(|p| p.block).collect()
-            };
-            let mut examined = 0usize;
-            let mut considered: BlockId = 0;
-            'sweep: while examined < opts.max_pages && considered < nblocks {
-                let block = *cursor % nblocks;
-                *cursor = (*cursor + 1) % nblocks;
-                considered += 1;
-                if r.append.open_block() == Some(block)
-                    || r.append.is_free(block)
-                    || parked.contains(&block)
-                {
-                    continue;
-                }
-                examined += 1;
+            'sweep: for block in self.slice_candidates(&r, cursor, opts.max_pages) {
                 stats.pages_examined += 1;
                 // Bounded page visit: the pin is released when the closure
                 // returns — a slice never holds a pin across a yield.
@@ -521,18 +415,22 @@ impl SiasDb {
                 if versions.is_empty() {
                     continue;
                 }
+                // Classify: compute the keep-chain of every data item
+                // present on this block (clearing fully-dead items as a
+                // side effect).
                 let mut vids = BTreeSet::new();
                 for (_, bytes) in &versions {
                     vids.insert(TupleVersion::decode(bytes)?.vid);
                 }
                 let mut items: Vec<ItemChains> = Vec::new();
                 for vid in vids {
-                    if let Some(item) =
-                        self.classify_item(&r, rel, vid, horizon, &mut stats, true)?
-                    {
+                    if let Some(item) = self.classify_item(&r, rel, vid, horizon, &mut stats)? {
                         items.push(item);
                     }
                 }
+                // A version is *reachable* when a chain walk from the
+                // entrypoint can still pass through it (anything down to
+                // the anchor, aborted interior versions included).
                 let reach_tids: BTreeSet<Tid> =
                     items.iter().flat_map(|i| i.reach.iter().map(|(t, _)| *t)).collect();
                 let live_here = versions
@@ -543,23 +441,22 @@ impl SiasDb {
                 if live_here > 0 && (dead_here as f64) / (versions.len() as f64) < opts.threshold {
                     continue; // not a victim yet
                 }
+                // Victim: re-insert the keep-chains of the items that
+                // still reach into this block.
                 let mut ok = true;
                 for item in &items {
                     if item.reach.iter().all(|(t, _)| t.block != block) {
-                        continue;
+                        continue; // this item's reachable versions live elsewhere
                     }
-                    if item.keep.len() > opts.max_chain {
+                    if item.keep.len() > MAX_RELOCATED_CHAIN {
                         stats.items_contended += 1;
                         ok = false;
                         continue;
                     }
-                    match self.relocate_chain(&r, item, &mut stats, true, interrupt)? {
+                    match self.relocate_chain(&r, item, &mut stats, interrupt)? {
                         Reloc::Published => {}
                         Reloc::Contended => ok = false,
-                        Reloc::Interrupted => {
-                            interrupted = true;
-                            break 'sweep;
-                        }
+                        Reloc::Interrupted => break 'sweep,
                     }
                 }
                 if ok {
@@ -574,25 +471,25 @@ impl SiasDb {
                 }
             }
         }
-        let _ = interrupted;
         let m = &self.metrics;
         m.gc_runs.inc();
         m.gc_pages_examined.add(stats.pages_examined);
         m.gc_pages_reclaimed.add(stats.pages_reclaimed);
+        m.gc_pages_deferred.add(stats.pages_deferred);
         m.gc_versions_discarded.add(stats.versions_discarded);
         m.gc_versions_relocated.add(stats.versions_relocated);
         m.gc_items_cleared.add(stats.items_cleared);
-        let obs = &self.stack.obs;
-        obs.counter("storage.gc.slices").inc();
-        obs.counter("storage.gc.slice_pages").add(stats.pages_examined);
-        obs.counter("storage.gc.pages_reclaimed").add(stats.pages_reclaimed);
-        obs.counter("storage.gc.pages_deferred").add(stats.pages_deferred);
-        obs.counter("storage.gc.versions_relocated").add(stats.versions_relocated);
-        obs.counter("storage.gc.cas_skipped").add(stats.items_contended);
-        obs.counter("storage.gc.items_cleared").add(stats.items_cleared);
+        m.gc_items_contended.add(stats.items_contended);
         span.set_arg(stats.pages_examined);
         m.gc_pause.record_duration(pause_start.elapsed());
         Ok(stats)
+    }
+
+    /// A slice that examines no page: it only recycles the parked pages
+    /// whose relocation epoch has passed — with no transaction active,
+    /// all of them. Ends a quiescent vacuum or scrub pass.
+    pub(crate) fn drain_parked(&self, rel: RelId) -> SiasResult<GcStats> {
+        self.vacuum_slice(rel, &mut 0, &GcSliceOpts { max_pages: 0, ..GcSliceOpts::default() })
     }
 
     /// Recycles every deferred victim page whose relocation epoch has
@@ -997,5 +894,91 @@ mod tests {
         assert_eq!(db.get(&t, rel, 0).unwrap().unwrap().as_ref(), &[9u8; 1500]);
         db.commit(t).unwrap();
         db.debug_validate_index(rel).unwrap();
+    }
+
+    /// One hot item updated 120 times beside a cold one that shares its
+    /// first page, so GC both relocates and reclaims.
+    fn churned_db() -> (SiasDb, RelId, Vid) {
+        let (db, rel) = db();
+        let t = db.begin();
+        db.insert_item(&t, rel, &[1u8; 512]).unwrap();
+        let vid = db.insert_item(&t, rel, &[0u8; 512]).unwrap();
+        db.commit(t).unwrap();
+        for i in 0..120u8 {
+            let t = db.begin();
+            db.update_item(&t, rel, vid, &[i; 512]).unwrap();
+            db.commit(t).unwrap();
+        }
+        (db, rel, vid)
+    }
+
+    /// Pages parked by a slice that ran beside a reader are recycled by
+    /// the next whole-relation vacuum once the reader is gone.
+    #[test]
+    fn vacuum_recycles_pages_parked_by_earlier_slices() {
+        let (db, rel, vid) = churned_db();
+        let reader = db.begin();
+        let mut cursor = 0;
+        let mut parked = GcStats::default();
+        for _ in 0..64 {
+            parked.merge(db.vacuum_slice(rel, &mut cursor, &GcSliceOpts::default()).unwrap());
+        }
+        assert!(parked.pages_deferred > 0, "slices must park victims: {parked:?}");
+        assert!(db.gc_backlog() > 0);
+        db.commit(reader).unwrap();
+        let s = db.vacuum_relation(rel).unwrap();
+        assert!(s.pages_reclaimed > 0, "stats: {s:?}");
+        assert_eq!(db.gc_backlog(), 0);
+        let t = db.begin();
+        assert_eq!(db.read_item(&t, rel, vid).unwrap().unwrap().as_ref(), &[119u8; 512]);
+        db.commit(t).unwrap();
+    }
+
+    /// The `core.gc.*` counters are the sums of the `GcStats` every
+    /// slice and every whole-relation vacuum returned.
+    #[test]
+    fn gc_counters_equal_the_summed_stats() {
+        let (db, rel, _) = churned_db();
+        let reader = db.begin();
+        let mut cursor = 0;
+        let mut total = GcStats::default();
+        for _ in 0..16 {
+            total.merge(db.vacuum_slice(rel, &mut cursor, &GcSliceOpts::default()).unwrap());
+        }
+        db.commit(reader).unwrap();
+        total.merge(db.vacuum_relation(rel).unwrap());
+        assert!(total.pages_reclaimed > 0 && total.versions_relocated > 0, "{total:?}");
+        let snap = db.metrics_snapshot();
+        let c = |name: &str| snap.counter(name).unwrap();
+        assert_eq!(c("core.gc.pages_examined"), total.pages_examined);
+        assert_eq!(c("core.gc.pages_reclaimed"), total.pages_reclaimed);
+        assert_eq!(c("core.gc.pages_deferred"), total.pages_deferred);
+        assert_eq!(c("core.gc.versions_discarded"), total.versions_discarded);
+        assert_eq!(c("core.gc.versions_relocated"), total.versions_relocated);
+        assert_eq!(c("core.gc.items_cleared"), total.items_cleared);
+        assert_eq!(c("core.gc.items_contended"), total.items_contended);
+    }
+
+    /// Pointers below a chain's anchor dangle once GC recycles their
+    /// pages, and recycled pages are reused by later appends. A whole
+    /// chain walk ends there instead of failing or straying into
+    /// another item's versions.
+    #[test]
+    fn whole_chain_walks_end_at_reclaimed_pages() {
+        let (db, rel, vid) = churned_db();
+        db.vacuum_relation(rel).unwrap();
+        for i in 0..60u8 {
+            let t = db.begin();
+            db.update_item(&t, rel, vid, &[i; 512]).unwrap();
+            db.commit(t).unwrap();
+        }
+        let r = db.relation_handle(rel).unwrap();
+        let mut entries = Vec::new();
+        r.vidmap.for_each(|v, tid| entries.push((v, tid)));
+        for (v, entry) in entries {
+            let chain = crate::chain::collect_chain(&db.stack.pool, rel, entry).unwrap();
+            assert!(chain.iter().all(|(_, version)| version.vid == v), "{v} strayed");
+            assert!(chain.windows(2).all(|w| w[0].1.pred_create == w[1].1.create));
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Background maintenance under load.
 //!
 //! Production systems never get the quiescent window the paper's
-//! deterministic GC assumes, so the three maintenance subsystems each
-//! have an incremental, bounded form safe to run beside foreground
-//! transactions:
+//! deterministic GC assumes, so each of the three maintenance
+//! subsystems is an incremental, bounded slice safe to run beside
+//! foreground transactions:
 //!
 //! * **GC** — [`SiasDb::vacuum_slice`]: a few candidate pages per call,
 //!   CAS-published relocations, horizon-gated page recycling;
@@ -11,6 +11,12 @@
 //!   call, lock-guarded CAS-published repairs;
 //! * **checkpoints** — [`SiasDb::maybe_checkpoint`]: fuzzy checkpoints
 //!   paced by WAL volume since the last one.
+//!
+//! The whole-relation passes ([`SiasDb::vacuum_relation`],
+//! [`SiasDb::scrub_relation`]) are these slices run to completion on a
+//! quiescent system. GC and scrub slices walk their candidate blocks
+//! the same way (`Candidates`) and park reclaimed blocks in the same
+//! horizon-gated queue (`DeferredPage`).
 //!
 //! [`MaintenanceScheduler`] drives all three from one dedicated thread,
 //! metering the *combined* page traffic through a token bucket refilled
@@ -24,7 +30,7 @@
 //! lock or the deferred-queue mutex across a yield, so the scheduler
 //! can be throttled arbitrarily hard without wedging foreground work.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,8 +40,8 @@ use parking_lot::Mutex;
 use sias_common::{BlockId, RelId, SiasResult, Xid};
 use sias_obs::SpanName;
 
-use crate::engine::SiasDb;
-use crate::gc::{GcSliceOpts, GcStats, DEFAULT_VACUUM_THRESHOLD};
+use crate::engine::{SiasDb, SiasRelation};
+use crate::gc::{GcSliceOpts, GcStats};
 use crate::scrub::ScrubStats;
 
 /// A victim page whose live versions were relocated but whose physical
@@ -48,6 +54,62 @@ pub(crate) struct DeferredPage {
     /// Xid high-water mark at relocation time; the page is recyclable
     /// once `TransactionManager::horizon_passed(epoch)`.
     pub(crate) epoch: Xid,
+}
+
+/// The candidate blocks of one GC or scrub slice: up to `left` blocks
+/// from the caller's cursor, wrapping around the relation, each block
+/// considered at most once. The open append page and free blocks are
+/// skipped, and so are blocks parked for a deferred recycle: their
+/// versions are unreachable by construction, and recycling one twice
+/// could free a page a later allocation already uses. The cursor
+/// advances as blocks are taken, so a slice that stops early resumes
+/// where it stopped.
+pub(crate) struct Candidates<'a> {
+    r: &'a SiasRelation,
+    cursor: &'a mut BlockId,
+    nblocks: BlockId,
+    considered: BlockId,
+    left: usize,
+    parked: BTreeSet<BlockId>,
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        while self.left > 0 && self.considered < self.nblocks {
+            let block = *self.cursor % self.nblocks;
+            *self.cursor = (block + 1) % self.nblocks;
+            self.considered += 1;
+            if self.r.append.open_block() == Some(block)
+                || self.r.append.is_free(block)
+                || self.parked.contains(&block)
+            {
+                continue;
+            }
+            self.left -= 1;
+            return Some(block);
+        }
+        None
+    }
+}
+
+impl SiasDb {
+    /// Starts a slice's candidate walk over `r` at `cursor`, taking at
+    /// most `max` blocks.
+    pub(crate) fn slice_candidates<'a>(
+        &self,
+        r: &'a SiasRelation,
+        cursor: &'a mut BlockId,
+        max: usize,
+    ) -> Candidates<'a> {
+        let parked = {
+            let q = self.maint.deferred.lock();
+            q.iter().filter(|p| p.rel == r.rel).map(|p| p.block).collect()
+        };
+        let nblocks = self.stack.space.relation_blocks(r.rel);
+        Candidates { r, cursor, nblocks, considered: 0, left: max, parked }
+    }
 }
 
 /// Engine-resident state shared by the maintenance subsystems.
@@ -87,8 +149,6 @@ pub struct MaintenanceConfig {
     pub pages_per_sec: u64,
     /// GC candidate pages examined per relation per tick.
     pub gc_slice_pages: usize,
-    /// Dead-space fraction that makes a page a GC victim.
-    pub gc_threshold: f64,
     /// Blocks the scrubber probes per relation per tick.
     pub scrub_slice_blocks: usize,
     /// WAL bytes between paced fuzzy checkpoints.
@@ -115,7 +175,6 @@ impl Default for MaintenanceConfig {
             // commit preempted for one whole tick) short; the duty
             // floor, not the slice size, sets sustained throughput.
             gc_slice_pages: 2,
-            gc_threshold: DEFAULT_VACUUM_THRESHOLD,
             scrub_slice_blocks: 2,
             ckpt_wal_bytes: 4 << 20, // 4 MiB of log per fuzzy checkpoint
             idle_sleep: Duration::from_millis(2),
@@ -175,11 +234,7 @@ impl SiasDb {
     ) -> SiasResult<u64> {
         let mut span = self.metrics.tracer.span(SpanName::MaintTick);
         let mut pages = 0u64;
-        let opts = GcSliceOpts {
-            max_pages: cfg.gc_slice_pages,
-            threshold: cfg.gc_threshold,
-            ..GcSliceOpts::default()
-        };
+        let opts = GcSliceOpts { max_pages: cfg.gc_slice_pages, ..GcSliceOpts::default() };
         for r in self.relation_handles() {
             let cur = cursors.gc.entry(r.rel).or_insert(0);
             let gcs = self.vacuum_slice(r.rel, cur, &opts)?;
@@ -408,11 +463,11 @@ mod tests {
         sched.pause();
         assert!(sched.is_paused());
         std::thread::sleep(Duration::from_millis(20));
-        let examined_paused = db.metrics_snapshot().counter("storage.gc.slice_pages");
+        let examined_paused = db.metrics_snapshot().counter("core.gc.pages_examined");
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
             examined_paused,
-            db.metrics_snapshot().counter("storage.gc.slice_pages"),
+            db.metrics_snapshot().counter("core.gc.pages_examined"),
             "no slices may run while paused"
         );
         sched.resume();

@@ -26,15 +26,16 @@
 //!    from quarantine, and handed back to the append region as free
 //!    space (`storage.scrub.repaired`).
 //!
-//! The whole-relation sweep ([`SiasDb::scrub_relation`]) requires a
-//! quiescent system, like the paper's deterministic GC. The incremental
-//! [`SiasDb::scrub_slice`] probes a bounded number of blocks per call
-//! and is safe under live traffic: repairs take the per-tuple lock
-//! non-blocking (contended chains stay quarantined and are retried on a
-//! later slice), entrypoints are swung with a CAS, and corrupt blocks
-//! are recycled through the same horizon-gated deferral incremental GC
-//! uses, so a reader still walking a pre-repair chain never sees a
-//! reused page.
+//! There is one scrub: the incremental [`SiasDb::scrub_slice`]. It
+//! probes a bounded number of blocks per call and is safe under live
+//! traffic: repairs take the per-tuple lock non-blocking (contended
+//! chains stay quarantined and are retried on a later slice),
+//! entrypoints are swung with a CAS, and corrupt blocks are recycled
+//! through the same horizon-gated deferral incremental GC uses, so a
+//! reader still walking a pre-repair chain never sees a reused page.
+//! The whole-relation sweep ([`SiasDb::scrub_relation`]) is one slice
+//! over every block of a quiescent system, followed by the GC drain
+//! that recycles the repaired blocks.
 //!
 //! A note on garbage collection: vacuum relocations are not WAL-logged,
 //! so a rebuilt chain can be *longer* than the physical chain it
@@ -43,7 +44,7 @@
 //! reclaims them; correctness is unaffected.
 
 use sias_obs::SpanName;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use sias_common::{BlockId, RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_storage::WalRecord;
@@ -53,13 +54,12 @@ use crate::engine::{SiasDb, SiasRelation};
 use crate::maintenance::DeferredPage;
 use crate::version::TupleVersion;
 
-/// Synthetic lock owner for concurrent scrub repairs (distinct from the
+/// Synthetic lock owner for scrub repairs (distinct from the
 /// GC slice owner so the two maintenance passes cannot shadow each
 /// other's locks).
 const SCRUB_SLICE_XID: Xid = Xid(u64::MAX - 2);
 
-/// Counters describing one scrub pass (or, via [`Scrubber`], the running
-/// totals of many).
+/// Counters describing one scrub pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubStats {
     /// Sealed in-use pages probed.
@@ -89,40 +89,6 @@ impl ScrubStats {
     }
 }
 
-/// Long-lived scrub driver: sweeps every relation on demand and keeps
-/// running totals, the way a background media patrol would.
-#[derive(Debug, Default)]
-pub struct Scrubber {
-    totals: ScrubStats,
-    sweeps: u64,
-}
-
-impl Scrubber {
-    /// Creates a scrubber with zeroed totals.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sweeps every relation of `db` once; returns this sweep's counters
-    /// and folds them into the running totals.
-    pub fn sweep(&mut self, db: &SiasDb) -> SiasResult<ScrubStats> {
-        let pass = db.scrub_all()?;
-        self.totals.merge(&pass);
-        self.sweeps += 1;
-        Ok(pass)
-    }
-
-    /// Running totals across all sweeps.
-    pub fn totals(&self) -> ScrubStats {
-        self.totals
-    }
-
-    /// Number of completed sweeps.
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-}
-
 impl SiasDb {
     /// Scrubs every relation (see the module docs for the protocol).
     pub fn scrub_all(&self) -> SiasResult<ScrubStats> {
@@ -134,8 +100,9 @@ impl SiasDb {
     }
 
     /// Scrubs one data relation: sweep, quarantine, repair, reclaim.
-    /// Errors unless the system is quiescent. Ticks
-    /// `storage.scrub.{scanned,corrupt,repaired}`.
+    /// Errors unless the system is quiescent, and with
+    /// [`SiasError::Wal`] when a corrupt chain has no committed history
+    /// in the log to rebuild from (its block stays quarantined).
     pub fn scrub_relation(&self, rel: RelId) -> SiasResult<ScrubStats> {
         let mut span = self.metrics.tracer.span(SpanName::ScrubSweep);
         if self.txm.active_count() != 0 {
@@ -143,42 +110,25 @@ impl SiasDb {
                 "scrub requires a quiescent system (no active transactions)".into(),
             ));
         }
-        let r = self.relation_handle(rel)?;
-        let mut stats = ScrubStats::default();
-        // (1) Sweep: probe every sealed in-use block through the pool.
-        // A failing probe quarantines the block as a side effect.
-        let nblocks = self.stack.space.relation_blocks(rel);
-        let mut corrupt: Vec<BlockId> = Vec::new();
-        for block in 0..nblocks {
-            if r.append.open_block() == Some(block) || r.append.is_free(block) {
-                continue;
-            }
-            stats.pages_scanned += 1;
-            match self.stack.pool.with_page(rel, block, |_| ()) {
-                Ok(()) => {}
-                Err(SiasError::CorruptPage { .. }) => {
-                    stats.pages_corrupt += 1;
-                    corrupt.push(block);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let stats = self.scrub_slice(rel, &mut 0, usize::MAX)?;
         span.set_arg(stats.pages_scanned);
-        self.stack.obs.counter("storage.scrub.scanned").add(stats.pages_scanned);
-        self.stack.obs.counter("storage.scrub.corrupt").add(stats.pages_corrupt);
-        if corrupt.is_empty() {
-            return Ok(stats);
+        // Quiescence leaves no lock or CAS to lose: an unrepaired chain
+        // means its history is missing from the log.
+        if stats.chains_contended > 0 {
+            return Err(SiasError::Wal(format!(
+                "scrub cannot repair {} chain(s) of {rel}: no committed history in the log",
+                stats.chains_contended
+            )));
         }
-        self.repair_corrupt_blocks(&r, rel, corrupt, &mut stats, false)?;
-        self.stack.obs.counter("storage.scrub.repaired").add(stats.pages_repaired);
+        self.drain_parked(rel)?;
         Ok(stats)
     }
 
     /// Probes up to `max_blocks` sealed blocks of `rel` starting at
     /// `cursor` (a caller-held sweep position, wrapped around the
     /// relation) — one bounded slice of the media patrol. Safe under
-    /// live traffic; see the module docs for the concurrent-repair
-    /// protocol. Ticks `storage.scrub.slice_*`.
+    /// live traffic; see the module docs for the repair protocol.
+    /// Ticks `storage.scrub.{slice_runs,scanned,corrupt,repaired}`.
     pub fn scrub_slice(
         &self,
         rel: RelId,
@@ -188,33 +138,11 @@ impl SiasDb {
         let mut span = self.metrics.tracer.span(SpanName::ScrubSlice);
         let r = self.relation_handle(rel)?;
         let mut stats = ScrubStats::default();
-        let nblocks = self.stack.space.relation_blocks(rel);
-        let obs = &self.stack.obs;
-        obs.counter("storage.scrub.slice_runs").inc();
-        if nblocks == 0 {
-            return Ok(stats);
-        }
-        // Pages parked for a deferred recycle are unreachable by
-        // construction: probing them would only re-quarantine garbage.
-        let parked: BTreeSet<BlockId> = {
-            let q = self.maint.deferred.lock();
-            q.iter().filter(|p| p.rel == rel).map(|p| p.block).collect()
-        };
-        let mut probed = 0usize;
-        let mut considered: BlockId = 0;
         let mut corrupt: Vec<BlockId> = Vec::new();
-        while probed < max_blocks && considered < nblocks {
-            let block = *cursor % nblocks;
-            *cursor = (*cursor + 1) % nblocks;
-            considered += 1;
-            if r.append.open_block() == Some(block)
-                || r.append.is_free(block)
-                || parked.contains(&block)
-            {
-                continue;
-            }
-            probed += 1;
+        for block in self.slice_candidates(&r, cursor, max_blocks) {
             stats.pages_scanned += 1;
+            // (1) Sweep: a failing probe quarantines the block as a
+            // side effect.
             match self.stack.pool.with_page(rel, block, |_| ()) {
                 Ok(()) => {}
                 Err(SiasError::CorruptPage { .. }) => {
@@ -225,29 +153,29 @@ impl SiasDb {
             }
         }
         span.set_arg(stats.pages_scanned);
-        obs.counter("storage.scrub.slice_blocks").add(stats.pages_scanned);
-        obs.counter("storage.scrub.scanned").add(stats.pages_scanned);
-        obs.counter("storage.scrub.corrupt").add(stats.pages_corrupt);
+        let m = &self.metrics;
+        m.scrub_runs.inc();
+        m.scrub_scanned.add(stats.pages_scanned);
+        m.scrub_corrupt.add(stats.pages_corrupt);
         if !corrupt.is_empty() {
-            self.repair_corrupt_blocks(&r, rel, corrupt, &mut stats, true)?;
-            obs.counter("storage.scrub.repaired").add(stats.pages_repaired);
+            self.repair_corrupt_blocks(&r, rel, corrupt, &mut stats)?;
+            m.scrub_repaired.add(stats.pages_repaired);
         }
         Ok(stats)
     }
 
     /// Phases 2–4 of the scrub protocol: blast radius, WAL-history chain
-    /// rebuild, block reclaim. In `concurrent` mode each rebuild takes
-    /// the tuple lock non-blocking and publishes with a CAS (contended
-    /// chains stay quarantined for a later slice), and reclaimed blocks
-    /// go through the horizon-gated deferral instead of an immediate
-    /// recycle so stale readers can never observe page reuse.
+    /// rebuild, block reclaim. Each rebuild takes the tuple lock
+    /// non-blocking and publishes with a CAS (contended chains stay
+    /// quarantined for a later slice), and reclaimed blocks go through
+    /// the horizon-gated deferral so stale readers can never observe
+    /// page reuse.
     fn repair_corrupt_blocks(
         &self,
         r: &SiasRelation,
         rel: RelId,
         corrupt: Vec<BlockId>,
         stats: &mut ScrubStats,
-        concurrent: bool,
     ) -> SiasResult<()> {
         // (2) Blast radius: an item is affected iff its chain walk
         // faults (pred pointers never leave the chain, so a clean walk
@@ -296,20 +224,15 @@ impl SiasDb {
         }
         let mut all_repaired = true;
         for (vid, entry) in &affected {
+            // History may be missing or still buffered behind an
+            // in-flight group commit: the chain stays quarantined and a
+            // later slice retries.
             let Some(versions) = history.get(vid) else {
-                if concurrent {
-                    // History may still be buffered behind an in-flight
-                    // group commit; the chain stays quarantined and a
-                    // later slice retries.
-                    stats.chains_contended += 1;
-                    all_repaired = false;
-                    continue;
-                }
-                return Err(SiasError::Wal(format!(
-                    "scrub cannot repair {vid:?}: no committed history in the log"
-                )));
+                stats.chains_contended += 1;
+                all_repaired = false;
+                continue;
             };
-            if concurrent && !self.txm.locks.try_lock(rel, *vid, SCRUB_SLICE_XID) {
+            if !self.txm.locks.try_lock(rel, *vid, SCRUB_SLICE_XID) {
                 stats.chains_contended += 1;
                 all_repaired = false;
                 continue;
@@ -338,46 +261,28 @@ impl SiasDb {
                     }
                 }
             }
-            if concurrent {
-                let swung =
-                    prev.is_some_and(|head| r.vidmap.compare_and_set(*vid, Some(*entry), head));
-                self.txm.locks.release_all(SCRUB_SLICE_XID);
-                if let Some(e) = append_err {
-                    return Err(e);
-                }
-                if swung {
-                    stats.chains_rebuilt += 1;
-                } else {
-                    stats.chains_contended += 1;
-                    all_repaired = false;
-                }
+            let swung = prev.is_some_and(|head| r.vidmap.compare_and_set(*vid, Some(*entry), head));
+            self.txm.locks.release_all(SCRUB_SLICE_XID);
+            if let Some(e) = append_err {
+                return Err(e);
+            }
+            if swung {
+                stats.chains_rebuilt += 1;
             } else {
-                if let Some(e) = append_err {
-                    return Err(e);
-                }
-                if let Some(head) = prev {
-                    r.vidmap.set(*vid, head);
-                    stats.chains_rebuilt += 1;
-                }
+                stats.chains_contended += 1;
+                all_repaired = false;
             }
         }
-        // (4) Reclaim: TRIM the corrupt blocks, drop their quarantine
-        // state, and hand them back to the append region. A concurrent
-        // slice defers the recycle behind the snapshot horizon — and
-        // only once every affected chain really was rebuilt; otherwise
-        // the blocks stay quarantined for the retrying slice.
-        if concurrent {
-            if all_repaired {
-                let epoch = self.txm.relocation_epoch();
-                let mut q = self.maint.deferred.lock();
-                for block in corrupt {
-                    q.push(DeferredPage { rel, block, epoch });
-                    stats.pages_repaired += 1;
-                }
-            }
-        } else {
+        // (4) Reclaim: once every affected chain really was rebuilt,
+        // park the corrupt blocks behind the snapshot horizon; the GC
+        // drain then TRIMs them, drops their quarantine state, and hands
+        // them back to the append region. Otherwise they stay
+        // quarantined for the retrying slice.
+        if all_repaired {
+            let epoch = self.txm.relocation_epoch();
+            let mut q = self.maint.deferred.lock();
             for block in corrupt {
-                r.append.recycle(block);
+                q.push(DeferredPage { rel, block, epoch });
                 stats.pages_repaired += 1;
             }
         }
@@ -529,18 +434,43 @@ mod tests {
     }
 
     #[test]
-    fn scrubber_accumulates_totals_across_sweeps() {
+    fn a_later_sweep_finds_and_repairs_new_rot() {
         let (db, rel) = workload();
-        let mut scrubber = Scrubber::new();
-        let clean = scrubber.sweep(&db).unwrap();
+        let clean = db.scrub_all().unwrap();
         assert_eq!(clean.pages_corrupt, 0);
-        rot_block(&db, rel, sealed_block(&db, rel));
-        let dirty = scrubber.sweep(&db).unwrap();
+        let block = sealed_block(&db, rel);
+        rot_block(&db, rel, block);
+        let dirty = db.scrub_all().unwrap();
         assert_eq!(dirty.pages_corrupt, 1);
-        assert_eq!(scrubber.sweeps(), 2);
-        let totals = scrubber.totals();
-        assert_eq!(totals.pages_corrupt, 1);
-        assert_eq!(totals.pages_repaired, 1);
-        assert_eq!(totals.pages_scanned, clean.pages_scanned + dirty.pages_scanned);
+        assert_eq!(dirty.pages_repaired, 1);
+        assert!(db.relation_handle(rel).unwrap().append.is_free(block));
+        let snap = db.metrics_snapshot();
+        let scanned = clean.pages_scanned + dirty.pages_scanned;
+        assert_eq!(snap.counter("storage.scrub.scanned"), Some(scanned));
+        assert_eq!(snap.counter("storage.scrub.repaired"), Some(1));
+    }
+
+    /// A chain whose history is missing from the log cannot be rebuilt:
+    /// the whole-relation scrub reports it as a typed WAL error and the
+    /// corrupt block stays quarantined rather than being recycled.
+    #[test]
+    fn unrepairable_chain_fails_the_sweep_with_a_wal_error() {
+        let (db, _) = workload();
+        // Replay writes no Insert records to the recovered engine's own
+        // log, so its chains have no history to rebuild from.
+        db.stack().wal.force().unwrap();
+        let records = db.stack().wal.durable_records().unwrap();
+        let (recovered, _) =
+            SiasDb::recover_from_wal(&records, StorageConfig::in_memory(), FlushPolicy::T2)
+                .unwrap();
+        let rel = recovered.relation("t").unwrap();
+        recovered.checkpoint().unwrap();
+        let block = sealed_block(&recovered, rel);
+        rot_block(&recovered, rel, block);
+        let err = recovered.scrub_relation(rel).unwrap_err();
+        assert!(matches!(err, SiasError::Wal(_)), "{err:?}");
+        assert!(recovered.stack().pool.is_quarantined(rel, block));
+        assert!(!recovered.relation_handle(rel).unwrap().append.is_free(block));
+        assert_eq!(recovered.gc_backlog(), 0, "an unrepaired block must not be parked");
     }
 }

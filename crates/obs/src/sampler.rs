@@ -195,11 +195,13 @@ impl SamplerHandle {
     pub fn spawn(registry: Arc<Registry>, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
+        // Take the baseline before returning, so increments the caller
+        // makes before the thread is scheduled land in the first tick.
+        let start = Instant::now();
+        let mut sampler = Sampler::new(registry);
         let join = std::thread::Builder::new()
             .name("obs-sampler".into())
             .spawn(move || {
-                let start = Instant::now();
-                let mut sampler = Sampler::new(registry);
                 // Sleep in small slices so stop() returns promptly even
                 // with a long interval.
                 let slice = interval.min(Duration::from_millis(20)).max(Duration::from_millis(1));

@@ -9,9 +9,10 @@
 //! Naming follows `<crate>.<component>.<name>`; the operation
 //! histograms record wall-clock nanoseconds, `chain_depth` records the
 //! number of versions traversed to find the visible one (for SI: index
-//! candidates probed), and the GC family counts vacuum work. Metrics
-//! that do not apply to one engine (e.g. GC under SI) simply stay zero
-//! — they are registered anyway so both snapshots have identical shape.
+//! candidates probed), and the GC and scrub families count maintenance
+//! slices. Metrics that do not apply to one engine (e.g. GC or scrub
+//! under SI) simply stay zero — they are registered anyway so both
+//! snapshots have identical shape.
 
 use std::sync::Arc;
 
@@ -43,20 +44,34 @@ pub struct EngineMetrics {
     pub vidmap_lookups: Arc<Counter>,
     /// `core.vidmap.resizes` — VID map bucket-directory growth events.
     pub vidmap_resizes: Arc<Counter>,
-    /// `core.gc.runs` — vacuum passes completed.
+    /// `core.gc.runs` — GC slices run.
     pub gc_runs: Arc<Counter>,
-    /// `core.gc.pages_examined` — pages inspected by vacuum.
+    /// `core.gc.pages_examined` — candidate pages inspected.
     pub gc_pages_examined: Arc<Counter>,
     /// `core.gc.pages_reclaimed` — pages recycled.
     pub gc_pages_reclaimed: Arc<Counter>,
+    /// `core.gc.pages_deferred` — victim pages parked until the
+    /// snapshot horizon passes their relocation epoch.
+    pub gc_pages_deferred: Arc<Counter>,
     /// `core.gc.versions_discarded` — dead versions dropped.
     pub gc_versions_discarded: Arc<Counter>,
     /// `core.gc.versions_relocated` — live versions re-appended.
     pub gc_versions_relocated: Arc<Counter>,
     /// `core.gc.items_cleared` — data items erased entirely.
     pub gc_items_cleared: Arc<Counter>,
-    /// `core.gc.pause` — vacuum pass duration (ns).
+    /// `core.gc.items_contended` — items skipped for a later slice
+    /// (writer contention, in-flight or over-long chains).
+    pub gc_items_contended: Arc<Counter>,
+    /// `core.gc.pause` — GC slice duration (ns).
     pub gc_pause: Arc<Histogram>,
+    /// `storage.scrub.slice_runs` — scrub slices run.
+    pub scrub_runs: Arc<Counter>,
+    /// `storage.scrub.scanned` — sealed pages probed by scrub.
+    pub scrub_scanned: Arc<Counter>,
+    /// `storage.scrub.corrupt` — probed pages failing their checksum.
+    pub scrub_corrupt: Arc<Counter>,
+    /// `storage.scrub.repaired` — corrupt pages repaired and reclaimed.
+    pub scrub_repaired: Arc<Counter>,
     /// `txn.manager.aborts_write_conflict` — first-updater-wins losers.
     pub write_conflicts: Arc<Counter>,
     /// The registry's flight recorder, so engines open spans without a
@@ -85,10 +100,16 @@ impl EngineMetrics {
             gc_runs: h.counter("core.gc.runs"),
             gc_pages_examined: h.counter("core.gc.pages_examined"),
             gc_pages_reclaimed: h.counter("core.gc.pages_reclaimed"),
+            gc_pages_deferred: h.counter("core.gc.pages_deferred"),
             gc_versions_discarded: h.counter("core.gc.versions_discarded"),
             gc_versions_relocated: h.counter("core.gc.versions_relocated"),
             gc_items_cleared: h.counter("core.gc.items_cleared"),
+            gc_items_contended: h.counter("core.gc.items_contended"),
             gc_pause: h.histogram("core.gc.pause"),
+            scrub_runs: h.counter("storage.scrub.slice_runs"),
+            scrub_scanned: h.counter("storage.scrub.scanned"),
+            scrub_corrupt: h.counter("storage.scrub.corrupt"),
+            scrub_repaired: h.counter("storage.scrub.repaired"),
             write_conflicts: h.counter("txn.manager.aborts_write_conflict"),
             tracer,
         }

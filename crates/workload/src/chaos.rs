@@ -724,8 +724,7 @@ pub fn scrub_scenario(cfg: &ChaosConfig, rot_pages: usize) -> ScrubReport {
     // Self-repair. Any single-bit flip is detectable: the CRC covers
     // every page byte outside its own field, and a flip inside the field
     // breaks the stored value instead.
-    let mut scrubber = sias_core::Scrubber::new();
-    let pass = scrubber.sweep(&db).expect("scrub sweep");
+    let pass = db.scrub_all().expect("scrub sweep");
 
     // Post-scrub probe: every key read back in one committed transaction
     // appended to the history, so the anomaly checker sees the repaired
